@@ -19,11 +19,12 @@ in three calls::
         report = session.load(n_records=10_000).result()
         count = session.query("SELECT COUNT(*) FROM t").scalar()
 
-Swap the session's :class:`~repro.api.DeploymentConfig` to go sharded
-(``mode="sharded"`` — query *while* loading via
-``job.snapshot_query(...)``) or to a coordinated heterogeneous fleet
-(``mode="fleet"`` — per-client budgets, backpressure, straggler
-reassignment, declarative — optionally lossy — channels).  To serve a
+Query *while* loading via ``job.snapshot_query(...)`` in any mode.  Swap
+the session's :class:`~repro.api.DeploymentConfig` to go sharded
+(``mode="sharded"`` — parallel shard workers) or to a coordinated
+heterogeneous fleet (``mode="fleet"`` — per-client budgets,
+backpressure, straggler reassignment, declarative — optionally lossy —
+channels).  To serve a
 session over a real socket to concurrent remote clients, wrap it in a
 :class:`~repro.service.CiaoService` and dial in with
 :class:`~repro.service.RemoteSession` (see :mod:`repro.service`).
@@ -86,7 +87,6 @@ from .obs import Metrics, QueryLog, Tracer
 from .server import (
     CiaoServer,
     ClientAssistedLoader,
-    EagerLoader,
     IngestSession,
     LoadSummary,
     ServerConfig,
@@ -128,7 +128,6 @@ __all__ = [
     "DEFAULT_COEFFICIENTS",
     "DataSource",
     "DeploymentConfig",
-    "EagerLoader",
     "FileChannel",
     "FleetClientSpec",
     "FleetCoordinator",

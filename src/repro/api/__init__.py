@@ -11,7 +11,7 @@ system (the low-level constructors stay public underneath it):
   path, covering serial, sharded, and fleet modes plus transport specs;
 * :class:`CiaoSession` — ``plan(budget)`` → ``load(source)`` →
   ``query(sql)``, with :class:`LoadJob` handles (progress, mid-load
-  ``snapshot_query`` on sharded deployments) and the unified
+  ``snapshot_query``) and the unified
   :class:`LoadReport` accounting contract;
 * :func:`make_channel` and the composable channel decorators
   (:class:`LossyChannel`, :class:`LatencyChannel`) for declarative,

@@ -57,7 +57,7 @@ class DeploymentConfig:
         shard_mode: ``'process'`` | ``'thread'`` shard workers.
         dispatch: ``'work-stealing'`` | ``'round-robin'`` chunk dispatch.
         seal_interval: Streaming-query seal cadence (``None`` disables
-            mid-load snapshots).
+            mid-load snapshots and durability).
         chunk_size: Records per client chunk.
         ship_batch: Chunk frames concatenated per channel message.
         channel: Transport spec (see
@@ -86,7 +86,8 @@ class DeploymentConfig:
             (:class:`repro.recovery.Manifest`) under the server's data
             directory, checkpointable mid-load and recoverable after a
             crash via ``CiaoSession(recover_from=...)``.  Off by
-            default — durability costs an fsync per checkpoint.
+            default — durability costs an fsync per checkpoint.  Needs
+            a *seal_interval*.
     """
 
     mode: str = "serial"
@@ -122,6 +123,8 @@ class DeploymentConfig:
             dispatch=self.dispatch,
             partial_loading=self.partial_loading,
             n_shards=self.resolved_n_shards,
+            seal_interval=self.seal_interval,
+            durable=self.durable,
         )
         if self.mode == "serial" and (self.n_shards or 1) != 1:
             raise ValueError(
@@ -198,4 +201,4 @@ class DeploymentConfig:
     @property
     def streaming_queries(self) -> bool:
         """Can this deployment answer queries mid-load?"""
-        return self.resolved_n_shards > 1 and self.seal_interval is not None
+        return self.seal_interval is not None

@@ -71,7 +71,7 @@ class LoadJob:
 
     The load runs on a background thread, so the caller keeps control
     while data flows: poll :meth:`progress`, answer analytics mid-load
-    with :meth:`snapshot_query` (sharded deployments), and collect the
+    with :meth:`snapshot_query`, and collect the
     unified :class:`~repro.api.report.LoadReport` with :meth:`result` —
     which joins the load, finalizes the server, and enforces the
     accounting invariant's visibility in every mode.
@@ -140,9 +140,9 @@ class LoadJob:
     def snapshot_query(self, sql: str) -> QueryResult:
         """Answer *sql* against the loaded-so-far snapshot, mid-load.
 
-        Only sharded deployments with streaming enabled can expose a
-        consistent mid-load view (sealed shard parts + sideline
-        watermarks); serial deployments and ``seal_interval=None`` raise
+        Any deployment with a ``seal_interval`` exposes a consistent
+        mid-load view (sealed parts + sideline watermarks), and the load
+        keeps running afterwards; ``seal_interval=None`` raises
         ``RuntimeError`` — finalize via :meth:`result` and query then.
 
         Polling the same aggregate repeatedly is cheap: the engine keeps
@@ -154,11 +154,10 @@ class LoadJob:
         """
         if not self.config.streaming_queries:
             raise RuntimeError(
-                f"snapshot_query() needs a sharded deployment with "
-                f"streaming enabled (n_shards >= 2 and a seal_interval); "
-                f"this job runs mode={self.config.mode!r} with "
-                f"n_shards={self.config.resolved_n_shards} — call "
-                f"result() and query the session instead"
+                f"snapshot_query() needs streaming enabled (a "
+                f"seal_interval); this job runs mode={self.config.mode!r} "
+                f"with seal_interval=None — call result() and query the "
+                f"session instead"
             )
         return self.server.query(sql)
 
@@ -739,8 +738,7 @@ class CiaoSession:
         """Execute *sql* against the loaded table.
 
         Waits for an in-flight load to finish first (final answers);
-        for mid-load answers use :meth:`LoadJob.snapshot_query` on a
-        sharded deployment.
+        for mid-load answers use :meth:`snapshot_query`.
         """
         self._check_open()
         job = self.last_job

@@ -1,5 +1,5 @@
-"""Server-side substrate: partial loading, eager baseline, data skipping,
-and the CIAO server facade."""
+"""Server-side substrate: partial loading, the ingest pipeline, data
+skipping, and the CIAO server facade."""
 
 from .ciao import (
     CiaoServer,
@@ -7,8 +7,7 @@ from .ciao import (
     ServerConfig,
     validate_server_options,
 )
-from .ingest import EagerLoader
-from .loader import ClientAssistedLoader, LoadReport, LoadSummary
+from .loader import ChunkReport, ClientAssistedLoader, LoadSummary
 from .pipeline import (
     IngestPipelineError,
     LoadSnapshot,
@@ -23,12 +22,11 @@ from .skipping import (
 )
 
 __all__ = [
+    "ChunkReport",
     "CiaoServer",
     "ClientAssistedLoader",
-    "EagerLoader",
     "IngestPipelineError",
     "IngestSession",
-    "LoadReport",
     "LoadSnapshot",
     "LoadSummary",
     "ServerConfig",

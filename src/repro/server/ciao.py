@@ -5,11 +5,13 @@ Wires the whole server side together (Fig. 1, right):
 * holds the pushdown plan (Fig. 2's predicate hashmap) and decides the
   partial-loading policy;
 * ingests encoded chunks from a channel — or :class:`JsonChunk` objects
-  directly — through the client-assisted loader;
+  directly — through its one ingest pipeline
+  (:class:`~repro.server.pipeline.ShardedIngestPipeline`; a single shard
+  runs inline on the submitting thread);
 * registers the loaded table in a catalog and answers SQL through the mini
-  engine, with bit-vector skipping planned automatically — for sharded
-  servers even *while* loading, against a consistent loaded-so-far
-  snapshot of the ingest stream.
+  engine, with bit-vector skipping planned automatically — even *while*
+  loading, against a consistent loaded-so-far snapshot of the ingest
+  stream.
 
 Partial-loading policy (``partial_loading='auto'``): enabled iff the plan
 covers every query of the prospective workload, i.e. each query has at
@@ -27,8 +29,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.annotations import guarded_by
-from ..analysis.sanitizer import make_lock, make_rlock
-from ..client.protocol import decode_chunk, decode_chunk_stream, split_frames
+from ..analysis.sanitizer import make_lock
+from ..client.protocol import split_frames
 from ..core.optimizer import PushdownPlan
 from ..core.plan_io import dumps_plan, loads_plan
 from ..core.predicates import Query, Workload
@@ -48,18 +50,25 @@ from ..storage.jsonstore import (
     SidelineView,
 )
 from ..storage.schema import Schema
-from .loader import ClientAssistedLoader, LoadSummary
-from .pipeline import DEFAULT_SEAL_INTERVAL, ShardedIngestPipeline
+from .loader import LoadSummary
+from .pipeline import (
+    DEFAULT_SEAL_INTERVAL,
+    LoadSnapshot,
+    ShardedIngestPipeline,
+)
 
 _SHARD_MODES = ("process", "thread")
 _DISPATCH_MODES = ("work-stealing", "round-robin")
 _PARTIAL_LOADING_MODES = ("auto", "on", "off")
 
 
-def validate_server_options(shard_mode: str = "process",
-                            dispatch: str = "work-stealing",
-                            partial_loading: str = "auto",
-                            n_shards: int = 1) -> None:
+def validate_server_options(
+        shard_mode: str = "process",
+        dispatch: str = "work-stealing",
+        partial_loading: str = "auto",
+        n_shards: int = 1,
+        seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL,
+        durable: bool = False) -> None:
     """The single validation path for server deployment knobs.
 
     Shared by :class:`ServerConfig` (at construction), the
@@ -85,6 +94,12 @@ def validate_server_options(shard_mode: str = "process",
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if durable and not seal_interval:
+        raise ValueError(
+            "durable=True needs a seal_interval: a mid-load checkpoint "
+            "records sealed parts, and seal_interval=None never seals "
+            "before finalize"
+        )
 
 
 @dataclass
@@ -117,6 +132,8 @@ class ServerConfig:
             dispatch=self.dispatch,
             partial_loading=self.partial_loading,
             n_shards=self.n_shards,
+            seal_interval=self.seal_interval,
+            durable=self.durable,
         )
 
 
@@ -126,8 +143,8 @@ class IngestSession:
     Multi-source loads (fleets of clients) open one session per source via
     :meth:`CiaoServer.open_ingest_session`.  A session is a thin tagged
     facade over the server's ingest path: every chunk it forwards is
-    accounted to its ``source_id`` (and, on sharded servers, tagged
-    through to the pipeline's per-source counters), so reports can
+    accounted to its ``source_id`` (and tagged through to the ingest
+    pipeline's per-source counters), so reports can
     attribute server-side load to individual clients.  Sessions close
     individually (:meth:`close`, or as a context manager); the server
     closes any still-open sessions at ``finalize_loading``.
@@ -214,21 +231,25 @@ class IngestSession:
 class CiaoServer:
     """One CIAO server instance managing one table.
 
-    With ``n_shards > 1`` ingestion runs through a
-    :class:`~repro.server.pipeline.ShardedIngestPipeline`: encoded chunks
-    are fanned across shard workers (decode + parse + write each, pulled
-    from a shared work-stealing deque by default) and the shard outputs
-    are merged into the catalog at :meth:`finalize_loading`.  Query
-    results are identical to serial ingest.
+    Ingestion always runs through one
+    :class:`~repro.server.pipeline.ShardedIngestPipeline`.  With
+    ``n_shards=1`` (serial) its single shard loads each chunk inline on
+    the submitting thread; with ``n_shards > 1`` encoded chunks are fanned
+    across shard workers (decode + parse + write each, pulled from a
+    shared work-stealing deque by default) and the shard outputs are
+    merged into the catalog at :meth:`finalize_loading`.  Query results
+    are identical either way.
 
     Lifecycle: a server starts in state ``"loading"`` and moves to
-    ``"finalized"`` at :meth:`finalize_loading`; ingesting into a
+    ``"finalized"`` only at :meth:`finalize_loading`; ingesting into a
     finalized server raises ``RuntimeError`` (its storage is sealed — a
-    new server/session is needed to load more data).  Sharded servers are
-    queryable *while* loading: :meth:`query` scans a consistent
-    loaded-so-far snapshot (sealed shard parts + sideline watermarks),
-    matching serial ingest of exactly the covered chunks.  ``load_summary``
-    is only complete once loading has finalized in sharded mode.
+    new server/session is needed to load more data).  Every server with a
+    ``seal_interval`` is queryable *while* loading: :meth:`query` scans a
+    consistent loaded-so-far snapshot (sealed parts + sideline
+    watermarks), matching serial ingest of exactly the covered chunks,
+    and ingestion continues afterwards.  ``seal_interval=None`` keeps the
+    layout fixed until finalize, so such a server answers no mid-load
+    query and cannot be durable.
     """
 
     def __init__(self, data_dir: str | Path,
@@ -251,6 +272,8 @@ class CiaoServer:
             dispatch=dispatch,
             partial_loading=partial_loading,
             n_shards=n_shards,
+            seal_interval=seal_interval,
+            durable=durable,
         )
         if generation < 0:
             raise ValueError(f"generation must be >= 0, got {generation}")
@@ -274,31 +297,20 @@ class CiaoServer:
             self.data_dir / f"{gen_stem}.sideline.jsonl"
         )
         self._parquet_path = self.data_dir / f"{gen_stem}.pql"
-        required_ids = plan.predicate_ids if plan is not None else None
-        self._loader: Optional[ClientAssistedLoader] = None
-        self._pipeline: Optional[ShardedIngestPipeline] = None
-        if n_shards > 1:
-            self._pipeline = ShardedIngestPipeline(
-                self._parquet_path,
-                self._side_store,
-                n_shards=n_shards,
-                partial_loading=self.partial_loading_enabled,
-                schema=schema,
-                required_predicate_ids=required_ids,
-                mode=shard_mode,
-                dispatch=dispatch,
-                seal_interval=seal_interval,
-                metrics=metrics,
-            )
-        else:
-            self._loader = ClientAssistedLoader(
-                self._parquet_path,
-                self._side_store,
-                partial_loading=self.partial_loading_enabled,
-                schema=schema,
-                required_predicate_ids=required_ids,
-                metrics=metrics,
-            )
+        self._pipeline = ShardedIngestPipeline(
+            self._parquet_path,
+            self._side_store,
+            n_shards=n_shards,
+            partial_loading=self.partial_loading_enabled,
+            schema=schema,
+            required_predicate_ids=(
+                plan.predicate_ids if plan is not None else None
+            ),
+            mode=shard_mode,
+            dispatch=dispatch,
+            seal_interval=seal_interval,
+            metrics=metrics,
+        )
         self._sessions: Dict[str, IngestSession] = {}  # guarded-by: _ingest_lock
         self.catalog = Catalog()
         self._table = TableEntry(
@@ -327,16 +339,17 @@ class CiaoServer:
         # Serializes query() against finalize_loading(): a loading
         # server may be queried from one thread while another thread
         # finalizes (session load jobs, fleet coordinators), and the
-        # finalize mutates the catalog entry a query scans.  Reentrant
-        # because a serial query() auto-finalizes through the same lock.
-        self._lifecycle_lock = make_rlock("CiaoServer._lifecycle_lock")
-        # Serializes chunk submission: the serial loader buffers rows and
-        # the sharded pipeline's submit() assumes one submitting thread,
-        # but remote serving (CiaoService) ingests from one router thread
-        # per connection.  Also guards _sessions registration and the
-        # ingest ledger.  Ordering: finalize_loading() and checkpoint()
-        # take _lifecycle_lock then _ingest_lock; ingest paths take
-        # _ingest_lock alone — the graph stays acyclic.
+        # finalize mutates the catalog entry a query scans.
+        self._lifecycle_lock = make_lock("CiaoServer._lifecycle_lock")
+        # Serializes chunk submission: the pipeline's submit() assumes
+        # one submitting thread, but remote serving (CiaoService)
+        # ingests from one router thread per connection.  Also guards
+        # _sessions registration and the ingest ledger.  Ordering:
+        # finalize_loading() and checkpoint() take _lifecycle_lock then
+        # _ingest_lock; ingest paths take _ingest_lock alone; the
+        # pipeline's own locks nest inside both — the graph stays
+        # acyclic.  The query path never takes _ingest_lock: a worker
+        # submit() may block on backpressure while holding it.
         self._ingest_lock = make_lock("CiaoServer._ingest_lock")
         self._schema = schema
         self._metrics = resolve_metrics(metrics)
@@ -437,9 +450,9 @@ class CiaoServer:
     def ingest(self, chunk: Union[JsonChunk, bytes]) -> None:
         """Ingest one chunk (decoded or wire-encoded).
 
-        Sharded servers forward encoded payloads verbatim — the shard
-        worker decodes them off the submitting thread.  Encoded payloads
-        may carry several batched frames
+        Encoded payloads go to the pipeline undecoded: an inline shard
+        decodes them on this thread, a shard worker off it.  They may
+        carry several batched frames
         (:func:`repro.client.protocol.encode_frame_batch`); each frame is
         ingested as its own chunk.
 
@@ -455,33 +468,24 @@ class CiaoServer:
         """Shared ingest core; returns the number of frames ingested.
 
         Safe to call from many threads: remote serving ingests from one
-        router thread per connection, while the serial loader and the
-        pipeline's ``submit`` both assume a single submitter.
+        router thread per connection, while the pipeline's ``submit``
+        assumes a single submitter.
         """
-        if not isinstance(chunk, (bytes, bytearray, memoryview)):
-            self._ingest_one(chunk, source)
-            return 1
-        if self._pipeline is not None:
-            count = 0
-            with self._ingest_lock:
-                for frame in split_frames(chunk):
-                    self._pipeline.submit(frame, source=source)
-                    count += 1
-            return count
-        count = 0
         with self._ingest_lock:
-            for decoded in decode_chunk_stream(chunk):
-                self._loader.ingest(decoded)
-                count += 1
-        return count
+            return self._submit_locked(chunk, source)
 
-    def _ingest_one(self, chunk: JsonChunk,
-                    source: Optional[str] = None) -> None:
-        with self._ingest_lock:
-            if self._pipeline is not None:
-                self._pipeline.submit(chunk, source=source)
-            else:
-                self._loader.ingest(chunk)
+    @guarded_by("_ingest_lock")
+    def _submit_locked(self, chunk: Union[JsonChunk, bytes],
+                       source: Optional[str]) -> int:
+        """Submit a chunk, or each frame of an encoded batch; count them."""
+        if not isinstance(chunk, (bytes, bytearray, memoryview)):
+            self._pipeline.submit(chunk, source=source)
+            return 1
+        count = 0
+        for frame in split_frames(chunk):
+            self._pipeline.submit(frame, source=source)
+            count += 1
+        return count
 
     def _ingest_sequenced(self, chunk: bytes, source: str,
                           client_id: str, seq: int) -> Tuple[int, bool]:
@@ -496,15 +500,7 @@ class CiaoServer:
             if not self._ledger.admit(client_id, source, seq):
                 self._m_duplicates.inc()
                 return 0, True
-            count = 0
-            if self._pipeline is not None:
-                for frame in split_frames(chunk):
-                    self._pipeline.submit(frame, source=source)
-                    count += 1
-            else:
-                for decoded in decode_chunk_stream(chunk):
-                    self._loader.ingest(decoded)
-                    count += 1
+            count = self._submit_locked(chunk, source)
             self._ledger.advance(client_id, source, seq)
             return count, False
 
@@ -538,17 +534,14 @@ class CiaoServer:
         Batched messages (``Channel.send_batch``) are split back into
         individual chunk frames, so the count is chunks, not messages.
         Frames coming off ``drain_chunks`` are already split, so they go
-        straight to the loader/pipeline without :meth:`ingest`'s re-split
-        (each split walks the frame header).
+        straight to the pipeline without :meth:`ingest`'s re-split (each
+        split walks the frame header).
         """
         self._check_loading("ingest_channel")
         count = 0
         for frame in channel.drain_chunks():
             with self._ingest_lock:
-                if self._pipeline is not None:
-                    self._pipeline.submit(frame)
-                else:
-                    self._loader.ingest(decode_chunk(frame))
+                self._pipeline.submit(frame)
             count += 1
         return count
 
@@ -556,7 +549,7 @@ class CiaoServer:
         """Open a tagged ingest stream for one data source.
 
         Fleet loads open one session per client so server-side accounting
-        (:attr:`ingest_sources`, and the sharded pipeline's
+        (:attr:`ingest_sources`, and the pipeline's
         ``submitted_by_source``) can attribute chunks to their origin.
         Source ids are single-use per server: reusing one — even after
         its session closed — raises ``ValueError``, because per-source
@@ -617,20 +610,15 @@ class CiaoServer:
     def finalize_loading(self) -> LoadSummary:
         """Seal storage and make the table queryable; idempotent.
 
-        For a sharded server this is the merge point: shard loaders are
-        sealed, their Parquet parts registered (shard-major order) and
-        their sidelines folded into the table's store.
+        This is the pipeline's merge point: shard loaders are sealed,
+        their Parquet parts registered (shard-major order) and worker
+        sidelines folded into the table's store.
         """
         with self._lifecycle_lock, self._ingest_lock:
             for session in self._sessions.values():
                 session.close()  # ciaolint: allow[LCK002] -- IngestSession.close only flips a flag; `.close()` name union binds wider
-            if self._pipeline is not None:
-                summary = self._pipeline.finalize()
-                parquet_paths = self._pipeline.parquet_paths
-            else:
-                summary = self._loader.finalize()
-                parquet_paths = self._loader.parquet_paths
-            summary = self._merge_baseline(summary)
+            summary = self._merge_baseline(self._pipeline.finalize())
+            parquet_paths = self._pipeline.parquet_paths
             if not self._loading_finalized:
                 self._table.clear_snapshot()
                 self._table.parquet_paths = self._remap_parts(
@@ -653,25 +641,19 @@ class CiaoServer:
     def load_summary(self) -> LoadSummary:
         """Loading statistics so far.
 
-        Mid-load a sharded-streaming server reports the chunks covered by
-        the current snapshot (the same view queries see); once finalized,
-        the complete merged summary.  With streaming disabled
-        (``seal_interval=None``) the sharded summary stays empty until
-        :meth:`finalize_loading` has run.
+        Mid-load this reports the chunks covered by the current snapshot
+        (the same view queries see, so it raises the pipeline's
+        ``RuntimeError`` when ``seal_interval=None``); once finalized, the
+        complete merged summary.
         """
-        if self._pipeline is not None:
-            if (not self._loading_finalized
-                    and self._pipeline.seal_interval is not None):
-                return self._merge_baseline(
-                    self._pipeline.snapshot().summary
-                )
+        if self._loading_finalized:
             return self._merge_baseline(self._pipeline.summary)
-        return self._merge_baseline(self._loader.summary)
+        return self._merge_baseline(self._pipeline.snapshot().summary)
 
     def _merge_baseline(self, summary: LoadSummary) -> LoadSummary:
         """Fold the recovered generations' counts into *summary*.
 
-        A recovered server's own loader/pipeline only saw this
+        A recovered server's own pipeline only saw this
         generation's chunks; the baseline carries everything the
         manifest proved durable before the crash, so totals reflect the
         whole table.  Per-chunk reports exist only for this
@@ -696,22 +678,21 @@ class CiaoServer:
     def query(self, sql: str) -> QueryResult:
         """Execute one SQL statement against the loaded table.
 
-        Sharded servers answer queries **while loading**: the statement
-        runs against a consistent loaded-so-far snapshot (sealed shard
-        parts plus per-shard sideline watermarks), so results equal serial
-        ingest of exactly the chunks covered so far — no auto-finalize,
-        and ingestion keeps running.  Repeated mid-load *aggregate*
+        Servers answer queries **while loading**: the statement runs
+        against a consistent loaded-so-far snapshot (sealed parts plus
+        sideline watermarks), so results equal serial ingest of exactly
+        the chunks covered so far, and ingestion keeps running.  A serial
+        server's inline shard first seals what it has ingested, so the
+        snapshot covers every chunk submitted before the query.  A server
+        with ``seal_interval=None`` has no mid-load view and raises
+        ``RuntimeError`` until :meth:`finalize_loading`.  Repeated mid-load
+        *aggregate*
         queries are incremental: sealed parts are immutable, so the
         engine caches per-part partial aggregates by (part, query
         fingerprint) and each successive snapshot query scans only the
         parts sealed since it last ran plus the sideline delta
         (:mod:`repro.engine.snapcache`; answers are identical to a cold
-        scan of the same snapshot).  Serial (``n_shards=1``) servers —
-        and sharded servers with streaming disabled
-        (``seal_interval=None``) — keep the historical convenience
-        behavior: the first query finalizes loading, because without
-        sealed parts there is nothing consistent to scan mid-load.  Call
-        :meth:`finalize_loading` explicitly to seal either kind.
+        scan of the same snapshot).
 
         Queries serialize against a concurrent :meth:`finalize_loading`
         (and against each other): a statement sees either a consistent
@@ -719,11 +700,7 @@ class CiaoServer:
         """
         with self._lifecycle_lock:
             if not self._loading_finalized:
-                if (self._pipeline is not None
-                        and self._pipeline.seal_interval is not None):
-                    self._refresh_snapshot()
-                else:
-                    self.finalize_loading()
+                self._refresh_snapshot()
             return self._executor.execute(sql)
 
     @guarded_by("_lifecycle_lock")
@@ -736,19 +713,30 @@ class CiaoServer:
         as a change even when the pipeline's counter did not move.
         """
         snap = self._pipeline.snapshot()
-        views = list(snap.sideline_views)
-        if self._recovered_sideline:
-            # Records materialized into this generation's main sideline
-            # file by recover(); shard folding only appends after them.
-            views.insert(0, SidelineView(self._side_store.path,
-                                         self._recovered_sideline))
+        parts, views = self._snapshot_layout(snap)
         self._table.apply_snapshot(
             (snap.version, self._compaction_epoch),
-            self._remap_parts(
-                list(self._recovered_parts) + list(snap.parquet_paths)
-            ),
+            parts,
             CompositeSidelineView(self._side_store.path, views),
         )
+
+    @guarded_by("_lifecycle_lock")
+    def _snapshot_layout(self, snap: LoadSnapshot
+                         ) -> Tuple[List[Path], List[SidelineView]]:
+        """The whole table as of *snap*: recovered state, then this
+        generation's, with parts resolved through the compaction remap."""
+        parts = self._remap_parts(
+            list(self._recovered_parts) + list(snap.parquet_paths)
+        )
+        views = list(snap.sideline_views)
+        if self._recovered_sideline and all(
+                view.path != self._side_store.path for view in views):
+            # Records recover() materialized at the head of the main
+            # sideline; an inline shard appends to that same store, so
+            # once it publishes, its own prefix view covers them.
+            views.insert(0, SidelineView(self._side_store.path,
+                                         self._recovered_sideline))
+        return parts, views
 
     # ------------------------------------------------------------------
     # Compaction (repro.compact drives these)
@@ -776,24 +764,19 @@ class CiaoServer:
     def sealed_parts(self) -> List[Path]:
         """The immutable parts a compactor may rewrite right now.
 
-        Finalized servers expose the table's full part list; streaming
-        sharded servers expose the current snapshot's sealed parts
-        (through the compaction remap, so already-replaced parts never
-        reappear).  A still-loading serial server — or a sharded one
-        with streaming disabled — has no sealed immutable parts yet and
-        returns an empty list.
+        Finalized servers expose the table's full part list; loading
+        servers expose the parts sealed so far (through the compaction
+        remap, so already-replaced parts never reappear).  Asking seals
+        nothing: an inline shard's open part stays open, so compaction
+        polls never fragment a serial load.
         """
         with self._lifecycle_lock:
             if self._loading_finalized:
                 return list(self._table.parquet_paths)
-            if (self._pipeline is not None
-                    and self._pipeline.seal_interval is not None):
-                snap = self._pipeline.snapshot()
-                return self._remap_parts(
-                    list(self._recovered_parts)
-                    + list(snap.parquet_paths)
-                )
-            return list(self._remap_parts(self._recovered_parts))
+            snap = self._pipeline.snapshot(seal=False)
+            return self._remap_parts(
+                list(self._recovered_parts) + list(snap.parquet_paths)
+            )
 
     def commit_compaction(self, inputs: Iterable[Path],
                           output: Path | str) -> None:
@@ -832,9 +815,7 @@ class CiaoServer:
                               self._side_store.record_count)],
                             self.load_summary,
                         )
-            elif (self._pipeline is not None
-                    and self._pipeline.seal_interval is not None
-                    and self._table.in_snapshot_mode):
+            elif self._table.in_snapshot_mode:
                 # Re-derive the snapshot view through the updated remap;
                 # the bumped epoch forces the apply even when the
                 # pipeline's own version counter did not move.
@@ -864,9 +845,7 @@ class CiaoServer:
         is sealed or sidelined, then atomically record the sealed
         parts, sideline watermarks, ledger, and summary *as of that
         moment*.  A kill -9 after this call loses nothing at or before
-        it.  Returns ``False`` when there is nothing checkpointable:
-        a non-durable server, or a mid-load server whose storage has no
-        sealed mid-load state (serial, or streaming disabled).
+        it.  Returns ``False`` only for a non-durable server.
         """
         if self._manifest is None:
             return False
@@ -881,12 +860,8 @@ class CiaoServer:
                           self._side_store.record_count)],
                         self.load_summary,
                     )
-                self._m_checkpoints.inc()
-                return True
-            if (self._pipeline is None
-                    or self._pipeline.seal_interval is None):
-                return False
-            self._checkpoint_streaming_locked(timeout, "checkpoint")
+            else:
+                self._checkpoint_streaming_locked(timeout, "checkpoint")
             self._m_checkpoints.inc()
             return True
 
@@ -895,21 +870,12 @@ class CiaoServer:
                                      event: str) -> None:
         """Quiesce the streaming pipeline and persist its state."""
         with self._ingest_lock:
-            self._pipeline.quiesce(timeout)
-            snap = self._pipeline.snapshot()
-            parts = self._remap_parts(
-                list(self._recovered_parts) + list(snap.parquet_paths)
-            )
-            sidelines: List[Tuple[Path, int]] = []
-            if self._recovered_sideline:
-                sidelines.append(
-                    (self._side_store.path, self._recovered_sideline)
-                )
-            for view in snap.sideline_views:
-                sidelines.append((view.path, view.record_count))
+            snap = self._pipeline.quiesce(timeout)
+            parts, views = self._snapshot_layout(snap)
             self._manifest_events.append(event)
             self._write_manifest_locked(
-                "loading", parts, sidelines,
+                "loading", parts,
+                [(view.path, view.record_count) for view in views],
                 self._merge_baseline(snap.summary),
             )
 
@@ -1117,12 +1083,12 @@ class CiaoServer:
         """Wait until every ingested chunk is visible to queries.
 
         Useful to make "query the prefix ingested so far" deterministic
-        in tests and benchmarks.  A serial server is always caught up; a
-        sharded server with streaming disabled (``seal_interval=None``)
-        cannot expose mid-load state, so quiescing it raises
-        ``RuntimeError`` (finalize instead).
+        in tests and benchmarks.  A serial server's inline shard catches
+        up at once; a server with streaming disabled
+        (``seal_interval=None``) cannot expose mid-load state, so
+        quiescing it raises ``RuntimeError`` (finalize instead).
         """
-        if self._pipeline is not None and not self._loading_finalized:
+        if not self._loading_finalized:
             self._pipeline.quiesce(timeout)
 
     def run_workload(self, queries: Iterable[Query]

@@ -18,13 +18,15 @@ per-chunk invariant is ``received == loaded + sidelined + malformed`` —
 the three report counters partition the chunk — while the *side store*
 receives ``sidelined + malformed`` records.
 
-Scaling: one loader is strictly serial.  Under heavy multi-client traffic
-the server fans chunks across several loaders via
-:class:`repro.server.pipeline.ShardedIngestPipeline` — each shard owns a
-private loader writing shard-local Parquet-lite parts and a shard-local
-sideline, and the pipeline merges all shard outputs into the catalog when
-loading finalizes.  Nothing in this module is shard-aware; the pipeline
-composes loaders without changing their contract.
+Scaling: one loader is strictly serial.  The server never drives one
+directly: it always ingests through
+:class:`repro.server.pipeline.ShardedIngestPipeline`, whose shards each
+own a loader.  One shard runs its loader inline on the submitting thread,
+writing the table's own parts and sideline; several shards write
+shard-local parts and sidelines on worker threads or processes, merged
+into the catalog when loading finalizes.  Nothing in this module is
+shard-aware; the pipeline composes loaders without changing their
+contract.
 
 Partial-loading policy: the mask is honoured only when the loader was
 constructed with ``partial_loading=True``.  The CIAO server enables it when
@@ -57,7 +59,7 @@ from ..storage.schema import (
 
 
 @dataclass
-class LoadReport:
+class ChunkReport:
     """Accounting for one ingested chunk."""
 
     chunk_id: int
@@ -78,14 +80,14 @@ class LoadSummary:
     sidelined: int = 0
     malformed: int = 0
     wall_seconds: float = 0.0
-    reports: List[LoadReport] = field(default_factory=list)
+    reports: List[ChunkReport] = field(default_factory=list)
 
     @property
     def loading_ratio(self) -> float:
         """Loaded / received — the y-axis of Figs 7, 9, 11."""
         return self.loaded / self.received if self.received else 0.0
 
-    def add(self, report: LoadReport) -> None:
+    def add(self, report: ChunkReport) -> None:
         """Fold one chunk report in."""
         self.chunks += 1
         self.received += report.received
@@ -152,7 +154,7 @@ class ClientAssistedLoader:
             return bool(chunk.bitvectors)
         return self._required_ids <= set(chunk.bitvectors)
 
-    def ingest(self, chunk: JsonChunk) -> LoadReport:
+    def ingest(self, chunk: JsonChunk) -> ChunkReport:
         """Load one chunk per the partial-loading policy."""
         if self._finalized:
             raise RuntimeError("loader already finalized")
@@ -190,7 +192,7 @@ class ClientAssistedLoader:
             self.side_store.append(
                 chunk.chunk_id, (chunk.records[i] for i in unloaded)
             )
-        report = LoadReport(
+        report = ChunkReport(
             chunk_id=chunk.chunk_id,
             received=len(chunk.records),
             loaded=len(parsed_rows),

@@ -1,14 +1,20 @@
-"""Sharded, pipelined ingest with streaming snapshots and work stealing.
+"""The server's one ingest path: sharded, pipelined, streaming.
 
-One :class:`~repro.server.loader.ClientAssistedLoader` is strictly serial —
-decode, parse, and write happen on the caller's thread, so a server draining
-many client channels leaves every other core idle and the expensive JSON
-parse on the critical path.  This module fans that work out (Fig. 1's server
-box, scaled horizontally) and, unlike the paper's load-then-query lifecycle,
-keeps the table queryable *while* loading:
+Every :class:`~repro.server.ciao.CiaoServer` ingests through one
+:class:`ShardedIngestPipeline`.  Each shard owns a
+:class:`~repro.server.loader.ClientAssistedLoader` (decode, parse, write)
+and publishes what it has sealed, so the table stays queryable *while*
+loading, unlike the paper's load-then-query lifecycle.  With several
+shards the work fans out across workers (Fig. 1's server box, scaled
+horizontally); with one, the shard runs inline on the submitting thread.
 
 Architecture::
 
+    inline (n_shards=1):
+    submit(payload) ──▶ shard 0 on the caller's thread ──▶ table's own
+                        (no queue, no worker, no copy)     parts + sideline
+
+    workers (n_shards>1):
     submit(payload) ──▶ shared work deque ─▶ worker 0 (local queue) ┐
                         (work stealing:      worker 1 (local queue) ├─▶
                         idle workers pull    ...                    │
@@ -20,13 +26,27 @@ Architecture::
                              ▼                        ▼
                         snapshot() ◀──lock-protected merge──  finalize()
 
-* **Shard workers.**  Each worker owns a private
-  :class:`ClientAssistedLoader` writing shard-local Parquet-lite parts
-  (``table.shardK[.partM].pql``) and a shard-local sideline file.  Encoded
-  payloads are shipped raw to the worker, which decodes them there
-  (:func:`repro.client.protocol.decode_chunk` walks a zero-copy
-  ``memoryview`` cursor), so the submitting thread does no per-chunk work
-  beyond a queue put.
+* **One shard object.**  A :class:`_Shard` ingests chunks, seals its
+  Parquet part every *seal_interval* chunks, seals when idle, and
+  publishes deltas on an out-queue.  The worker loop and inline mode
+  drive the same object, so both follow the same seal rule.
+* **Inline mode** (``n_shards=1``).  :meth:`submit` runs the shard on the
+  calling thread and lets its errors propagate, exactly like a bare
+  loader.  The shard writes the table's own part path
+  (``table.partM.pql``) and side store, so finalize has no shard-local
+  sideline to fold.  An inline shard is idle whenever :meth:`snapshot`
+  or :meth:`quiesce` asks; it then seals only if it has unpublished
+  chunks, so a load nobody reads mid-way keeps its serial layout.
+* **Shard workers** (``n_shards>1``).  Each worker writes shard-local
+  Parquet-lite parts (``table.shardK[.partM].pql``) and a shard-local
+  sideline file.  Encoded payloads are shipped raw to the worker, which
+  decodes them there (:func:`repro.client.protocol.decode_chunk` walks a
+  zero-copy ``memoryview`` cursor), so the submitting thread does no
+  per-chunk work beyond a queue put.  ``mode="process"`` (default) forks
+  one worker process per shard (under CPython's GIL the only way
+  decode+parse actually runs in parallel); ``mode="thread"`` runs workers
+  as daemon threads, which keeps tests fast and would parallelize on
+  free-threaded builds.
 * **Work-stealing dispatch** (``dispatch="work-stealing"``, the default).
   Chunks go into one shared deque; each worker pulls the oldest pending
   chunk (grabbing a small local batch to amortize queue traffic) whenever
@@ -36,26 +56,25 @@ Architecture::
   everything the equivalence tests observe is assignment-invariant: merged
   reports are re-ordered by submission sequence, and the engine scans a
   table as the unordered union of its Parquet parts plus sideline.
-  ``dispatch="round-robin"`` restores the old deterministic mapping (chunk
+  ``dispatch="round-robin"`` restores the deterministic mapping (chunk
   *k* → shard ``k % n_shards``, reproducible shard files) for layout tests
   and as the bench baseline.
-* **Streaming snapshots** (``seal_interval``).  Workers seal their current
-  Parquet part every *seal_interval* chunks and whenever their queue goes
-  idle, then publish ``(sealed part paths, sideline record watermark,
-  per-chunk reports)``.  :meth:`snapshot` merges those publications under a
-  lock into a :class:`LoadSnapshot` — a consistent loaded-so-far view the
-  query engine can scan mid-load: every covered chunk has *all* its rows
-  either in a sealed part or below the sideline watermark, exactly as
-  serial ingest of those chunks would have placed them.  ``seal_interval=
-  None`` disables sealing/publishing (legacy batch behavior, deterministic
-  part layout under round-robin).
+* **Streaming snapshots** (``seal_interval``).  Published ``(sealed part
+  paths, sideline record watermark, per-chunk reports)`` deltas are
+  merged by :meth:`snapshot` under a lock into a :class:`LoadSnapshot` — a
+  consistent loaded-so-far view the query engine can scan mid-load: every
+  covered chunk has *all* its rows either in a sealed part or below the
+  sideline watermark, exactly as serial ingest of those chunks would have
+  placed them.  ``seal_interval=None`` disables sealing/publishing
+  (deterministic part layout under round-robin; no mid-load reads).
 * **Merge at finalize.**  :meth:`finalize` seals every shard loader, then
   merges the shard outputs: Parquet parts are concatenated in shard order
-  into one path list for the catalog, shard sidelines are folded into the
-  table's side store (and removed), and per-chunk
-  :class:`~repro.server.loader.LoadReport`\\ s are re-ordered by submission
-  sequence so the merged :class:`~repro.server.loader.LoadSummary` is
-  identical to what serial ingest of the same stream would report.
+  into one path list for the catalog, worker sidelines are folded into
+  the table's side store (and removed), and per-chunk
+  :class:`~repro.server.loader.ChunkReport`\\ s are re-ordered by
+  submission sequence so the merged
+  :class:`~repro.server.loader.LoadSummary` is identical to what serial
+  ingest of the same stream would report.
 
 Correctness: every record lands in exactly one shard, each shard preserves
 its loader's invariants (``received == loaded + sidelined + malformed``
@@ -63,11 +82,6 @@ per chunk, malformed records quarantined raw in the sideline), and the
 engine already scans a table as the union of its Parquet parts plus the
 side store — so query results match serial ingest exactly; only row-group
 *order* across files differs, which no aggregate observes.
-
-Execution modes: ``mode="process"`` (default) forks one worker process per
-shard — under CPython's GIL this is the only way decode+parse actually runs
-in parallel; ``mode="thread"`` runs workers as daemon threads in-process,
-which keeps tests fast and would parallelize on free-threaded builds.
 """
 
 from __future__ import annotations
@@ -79,7 +93,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.annotations import guarded_by
 from ..analysis.sanitizer import make_lock
@@ -88,7 +102,7 @@ from ..obs.metrics import Metrics, resolve_metrics
 from ..rawjson.chunks import JsonChunk
 from ..storage.jsonstore import JsonSideStore, SidelineView
 from ..storage.schema import Schema
-from .loader import ClientAssistedLoader, LoadReport, LoadSummary
+from .loader import ChunkReport, ClientAssistedLoader, LoadSummary
 
 #: Bounded per-shard queue depth: backpressure instead of unbounded RAM.
 DEFAULT_QUEUE_DEPTH = 64
@@ -151,6 +165,82 @@ class LoadSnapshot:
         return self.summary.chunks == self.submitted
 
 
+class _Shard:
+    """One shard: a loader plus what it has published so far.
+
+    The worker loop drives it on a shard thread or process; inline mode
+    drives it on the submitting thread.  Either way it follows one seal
+    rule — seal every *seal_interval* chunks, and seal when idle — and
+    posts its messages through *post* (an out-queue ``put``).
+
+    A ``("progress", shard_id, new_paths, sideline_watermark,
+    new_reports)`` message carries only what was sealed/ingested *since
+    the last publication* (the sideline watermark is absolute but O(1)).
+    Deltas keep streaming IPC linear in load size; the merge can simply
+    append because the out-queue preserves each producer's message
+    order.  The terminal ``"done"`` message carries the full final state
+    and supersedes all progress.
+    """
+
+    def __init__(self, shard_id: int, loader: ClientAssistedLoader,
+                 side: JsonSideStore, seal_interval: Optional[int],
+                 post: Callable[[tuple], None]):
+        self.shard_id = shard_id
+        self.loader = loader
+        self.side = side
+        self.seal_interval = seal_interval
+        self.post = post
+        self.reports: List[Tuple[int, ChunkReport]] = []
+        self.unpublished = 0
+        self._published_paths = 0
+        self._published_reports = 0
+
+    def load_chunk(self, seq: int,
+                   payload: Union[JsonChunk, bytes, bytearray, memoryview]
+                   ) -> None:
+        """Decode and load one chunk; publish every *seal_interval*."""
+        if isinstance(payload, (bytes, bytearray, memoryview)):
+            payload = decode_chunk(payload)
+        report = self.loader.ingest(payload)  # ciaolint: allow[LCK002] -- ClientAssistedLoader.ingest takes no locks; the `.ingest()` name union binds wider
+        self.reports.append((seq, report))
+        self.unpublished += 1
+        if (self.seal_interval is not None
+                and self.unpublished >= self.seal_interval):
+            self.publish()
+
+    def idle(self) -> None:
+        """Nothing queued: make every chunk ingested so far visible."""
+        if self.seal_interval is not None and self.unpublished:
+            self.publish()
+
+    def publish(self) -> None:
+        """Seal the open part and post what's new since the last publish."""
+        self.loader.seal_part()
+        # sealed_paths only ever grows at the tail (parts are opened and
+        # sealed in order), so a slice is the delta.
+        sealed = self.loader.sealed_paths
+        self.post((
+            "progress",
+            self.shard_id,
+            [str(p) for p in sealed[self._published_paths:]],
+            self.side.record_count,
+            self.reports[self._published_reports:],
+        ))
+        self._published_paths = len(sealed)
+        self._published_reports = len(self.reports)
+        self.unpublished = 0
+
+    def finish(self) -> None:
+        """Seal the loader and post the terminal ``"done"`` message."""
+        self.loader.finalize()
+        self.unpublished = 0
+        self.post((
+            "done", self.shard_id,
+            [str(p) for p in self.loader.parquet_paths],
+            list(self.reports), self.side.record_count,
+        ))
+
+
 def _run_shard(shard_id: int,
                in_queue,
                out_queue,
@@ -160,28 +250,14 @@ def _run_shard(shard_id: int,
                schema: Optional[Schema],
                required_ids: Optional[frozenset],
                seal_interval: Optional[int]) -> None:
-    """Shard worker loop: decode + parse + write until the sentinel.
+    """Shard worker loop: drive one :class:`_Shard` until the sentinel.
 
     Module-level so process mode can spawn it.  On failure the worker keeps
     draining its queue (a bounded queue with a dead consumer would deadlock
     the submitter) and reports the error at shutdown.
-
-    With *seal_interval* set the worker periodically seals its current
-    Parquet part and publishes a ``("progress", shard_id, new_paths,
-    sideline_watermark, new_reports)`` message carrying only what was
-    sealed/ingested *since its last publication* (the sideline watermark
-    is absolute but O(1)).  Deltas keep streaming IPC linear in load
-    size; the merge can simply append because the out-queue preserves
-    each producer's message order.  The terminal ``"done"`` message
-    carries the full final state and supersedes all progress.
     """
     error: Optional[str] = None
-    reports: List[Tuple[int, LoadReport]] = []
-    unpublished = 0
-    published_paths = 0
-    published_reports = 0
-    loader: Optional[ClientAssistedLoader] = None
-    side: Optional[JsonSideStore] = None
+    shard: Optional[_Shard] = None
 
     def fail(what: str) -> str:
         """Record the first error and announce it eagerly.
@@ -196,50 +272,28 @@ def _run_shard(shard_id: int,
 
     try:
         side = JsonSideStore(sideline_path)
-        loader = ClientAssistedLoader(
-            parquet_path,
-            side,
-            partial_loading=partial_loading,
-            schema=schema,
-            required_predicate_ids=required_ids,
+        shard = _Shard(
+            shard_id,
+            ClientAssistedLoader(
+                parquet_path,
+                side,
+                partial_loading=partial_loading,
+                schema=schema,
+                required_predicate_ids=required_ids,
+            ),
+            side, seal_interval, out_queue.put,
         )
     except Exception:  # ciaolint: allow[API006] -- shard isolation: any init failure becomes a reported per-shard error
         error = fail("failed to initialize")
 
-    def publish() -> None:
-        """Seal the open part and post what's new since the last publish."""
-        nonlocal unpublished, published_paths, published_reports
-        loader.seal_part()
-        # sealed_paths only ever grows at the tail (parts are opened and
-        # sealed in order), so a slice is the delta.
-        sealed = loader.sealed_paths
-        out_queue.put((
-            "progress",
-            shard_id,
-            [str(p) for p in sealed[published_paths:]],
-            side.record_count,
-            list(reports[published_reports:]),
-        ))
-        published_paths = len(sealed)
-        published_reports = len(reports)
-        unpublished = 0
-
     def process(item) -> None:
-        nonlocal error, unpublished
+        nonlocal error
         if error is not None:
             return
-        seq, payload = item
         try:
-            if isinstance(payload, (bytes, bytearray)):
-                chunk = decode_chunk(payload)
-            else:
-                chunk = payload
-            reports.append((seq, loader.ingest(chunk)))
-            unpublished += 1
-            if seal_interval is not None and unpublished >= seal_interval:
-                publish()
+            shard.load_chunk(*item)
         except Exception:  # ciaolint: allow[API006] -- shard isolation: a poison chunk must not kill the drain loop
-            error = fail(f"failed on chunk #{seq}")
+            error = fail(f"failed on chunk #{item[0]}")
 
     # The drain loop must run no matter what happened above: a bounded
     # queue with a dead consumer would block submit() forever.
@@ -250,8 +304,8 @@ def _run_shard(shard_id: int,
         except queue.Empty:
             # Idle: everything handed to us so far becomes visible to
             # readers, so a paused submitter sees a complete snapshot.
-            if seal_interval is not None and error is None and unpublished:
-                publish()
+            if error is None:
+                shard.idle()
             continue
         if item is None:
             break
@@ -273,36 +327,31 @@ def _run_shard(shard_id: int,
             pass
         for extra in grabbed:
             process(extra)
-    paths: List[str] = []
-    try:
-        if loader is not None:
-            loader.finalize()
-            paths = [str(p) for p in loader.parquet_paths]
-    except Exception:  # ciaolint: allow[API006] -- shard isolation: finalize failure is reported via the out queue
-        if error is None:
+    if error is None:
+        try:
+            shard.finish()
+        except Exception:  # ciaolint: allow[API006] -- shard isolation: finalize failure is reported via the out queue
             error = fail("failed to finalize")
     if error is not None:
         out_queue.put(("error", shard_id, error))
-    else:
-        out_queue.put((
-            "done", shard_id, paths, list(reports),
-            side.record_count if side is not None else 0,
-        ))
 
 
 class ShardedIngestPipeline:
     """Fan encoded chunks across shard loaders; merge outputs at finalize.
 
     Args:
-        parquet_path: Base table path; shard *K* writes
+        parquet_path: Base table path.  An inline shard writes
+            ``<stem>.partM<suffix>`` parts; worker *K* writes
             ``<stem>.shardK<suffix>`` parts next to it.
-        side_store: The table's sideline store.  Shards write shard-local
-            sidelines during the load; :meth:`finalize` folds them in here.
-        n_shards: Worker count (1 is legal and equivalent to one loader
-            behind a queue).
+        side_store: The table's sideline store.  An inline shard appends
+            to it directly; workers write shard-local sidelines during the
+            load and :meth:`finalize` folds them in here.
+        n_shards: Shard count; 1 runs the shard inline on the submitting
+            thread (no queue, no worker).
         partial_loading / schema / required_predicate_ids: Forwarded to
             every shard's :class:`ClientAssistedLoader`.
-        mode: ``"process"`` (parallel under the GIL) or ``"thread"``.
+        mode: Worker kind for ``n_shards > 1``: ``"process"`` (parallel
+            under the GIL) or ``"thread"``.
         dispatch: ``"work-stealing"`` (shared deque, default) or
             ``"round-robin"`` (chunk *k* → shard ``k % n_shards``,
             deterministic shard files).
@@ -311,6 +360,8 @@ class ShardedIngestPipeline:
         queue_depth: Per-shard bound of the input queue(s) (backpressure);
             the shared work-stealing deque is bounded at
             ``queue_depth * n_shards``.
+        metrics: Registry for pipeline counters (and the inline shard's
+            loader counters; worker loaders have no registry).
     """
 
     def __init__(self, parquet_path: str | Path,
@@ -346,7 +397,7 @@ class ShardedIngestPipeline:
         self.dispatch = dispatch
         self.seal_interval = seal_interval
         self.summary = LoadSummary()
-        self._seq = 0
+        self._seq = 0  # guarded-by: <one submitter; inline: _inline_lock>
         self._submitted_by_source: Dict[str, int] = {}
         self._finalized = False
         # guarded-by: _lock
@@ -360,9 +411,9 @@ class ShardedIngestPipeline:
         self._lock = make_lock("ShardedIngestPipeline._lock")
         # guarded-by: _lock
         self._progress: Dict[int, Tuple[List[Path], int,
-                                        List[Tuple[int, LoadReport]]]] = {}
+                                        List[Tuple[int, ChunkReport]]]] = {}
         # guarded-by: _lock
-        self._final_reports: Dict[int, List[Tuple[int, LoadReport]]] = {}
+        self._final_reports: Dict[int, List[Tuple[int, ChunkReport]]] = {}
         self._terminal: set = set()  # guarded-by: _lock
         self._version = 0  # guarded-by: _lock
         # guarded-by: _lock
@@ -384,6 +435,25 @@ class ShardedIngestPipeline:
             frozenset(required_predicate_ids)
             if required_predicate_ids is not None else None
         )
+        # Inline mode: the one shard runs on the submitting thread and
+        # posts to a plain in-process queue that snapshot() pumps.
+        self._inline_lock = make_lock("ShardedIngestPipeline._inline_lock")
+        self._inline: Optional[_Shard] = None  # guarded-by: _inline_lock
+        self._workers: list = []
+        self._in_queues: list = []
+        if n_shards == 1:
+            self._sideline_paths = [side_store.path]
+            self._out_queue = queue.Queue()
+            self._inline = _Shard(
+                0,
+                ClientAssistedLoader(
+                    self.parquet_path, side_store,
+                    partial_loading=partial_loading, schema=schema,
+                    required_predicate_ids=required, metrics=metrics,
+                ),
+                side_store, seal_interval, self._out_queue.put,
+            )
+            return
         side_path = side_store.path
         self._sideline_paths = [
             side_path.parent / f"{side_path.stem}.shard{i}{side_path.suffix}"
@@ -440,26 +510,34 @@ class ShardedIngestPipeline:
     # ------------------------------------------------------------------
     def submit(self, payload: Union[JsonChunk, bytes, bytearray, memoryview],
                source: Optional[str] = None) -> int:
-        """Enqueue one chunk (encoded or decoded); returns its sequence no.
+        """Hand one chunk (encoded or decoded) to a shard; returns its seq.
 
-        Encoded payloads are decoded *inside* the worker, keeping the
-        submitting thread off the critical path.  Blocks when the target
-        queue is full (backpressure).  *source* tags the chunk's origin
-        (e.g. a fleet client id) for the per-source accounting exposed by
+        Inline, the shard decodes and loads it right here, and any error
+        (e.g. a corrupt payload's ``ProtocolError``) propagates with the
+        chunk left uncounted.  With workers, encoded payloads are decoded
+        *inside* the worker, keeping the submitting thread off the
+        critical path, and submit blocks when the target queue is full
+        (backpressure).  *source* tags the chunk's origin (e.g. a fleet
+        client id) for the per-source accounting exposed by
         :attr:`submitted_by_source`; like ``submit`` itself it assumes one
         submitting thread.
         """
         if self._finalized:
             raise RuntimeError("pipeline already finalized")
-        if isinstance(payload, memoryview):
-            payload = bytes(payload)  # queues need an owned buffer
         seq = self._seq
-        self._seq += 1
+        if self._inline is not None:
+            with self._inline_lock:
+                self._inline.load_chunk(seq, payload)
+                self._seq += 1
+        else:
+            if isinstance(payload, memoryview):
+                payload = bytes(payload)  # queues need an owned buffer
+            self._seq += 1
+            self._in_queues[seq % self.n_shards].put((seq, payload))
         if source is not None:
             self._submitted_by_source[source] = (
                 self._submitted_by_source.get(source, 0) + 1
             )
-        self._in_queues[seq % self.n_shards].put((seq, payload))
         self._m_submitted.inc()
         return seq
 
@@ -468,41 +546,34 @@ class ShardedIngestPipeline:
         """Chunks submitted per source tag (multi-source ingest sessions)."""
         return dict(self._submitted_by_source)
 
-    def drain_channel(self, channel) -> int:
-        """Submit every chunk frame of a channel; returns how many.
-
-        Batched messages (see :meth:`repro.simulate.network.Channel.
-        send_batch`) are split back into individual chunk frames, each
-        submitted — and therefore accounted — separately.
-        """
-        count = 0
-        for payload in channel.drain_chunks():
-            self.submit(payload)
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     # Streaming snapshots
     # ------------------------------------------------------------------
-    def snapshot(self) -> LoadSnapshot:
+    def snapshot(self, seal: bool = True) -> LoadSnapshot:
         """The current consistent loaded-so-far view (lock-protected).
 
-        Merges any worker publications that arrived since the last call
-        and returns the covered state: sealed Parquet parts, per-shard
-        sideline views bounded at their watermarks, and a summary whose
-        reports are in submission order.  Chunks still in flight (or
-        sealed but not yet published) are simply absent — they appear in
-        a later snapshot.  Requires ``seal_interval`` (streaming) to be
-        enabled.  Raises :class:`IngestPipelineError` as soon as any
-        shard has reported a failure — a failed load has no trustworthy
-        loaded-so-far view.  The returned snapshot is cached until the
-        next publication arrives; treat it as read-only.
+        An inline shard is idle whenever a reader asks, so it first seals
+        and publishes any unpublished chunks (*seal* ``False`` skips that,
+        reporting only what is already sealed).  Then this merges the
+        publications that arrived since the last call and returns the
+        covered state: sealed Parquet parts, per-shard sideline views
+        bounded at their watermarks, and a summary whose reports are in
+        submission order.  Chunks still in flight (or sealed but not yet
+        published) are simply absent — they appear in a later snapshot.
+        Requires ``seal_interval`` (streaming) to be enabled.  Raises
+        :class:`IngestPipelineError` as soon as any shard has reported a
+        failure — a failed load has no trustworthy loaded-so-far view.
+        The returned snapshot is cached until the next publication
+        arrives; treat it as read-only.
         """
         if self.seal_interval is None:
             raise RuntimeError(
                 "streaming snapshots are disabled (seal_interval=None)"
             )
         self._m_snapshots.inc()
+        if seal and self._inline is not None and not self._finalized:
+            with self._inline_lock:
+                self._inline.idle()
         with self._lock:
             self._pump_messages()
             if self._errors:
@@ -522,7 +593,7 @@ class ShardedIngestPipeline:
                 for watermark in (self._progress[shard_id][1],)
                 if watermark > 0
             ]
-            ordered: List[Tuple[int, LoadReport]] = []
+            ordered: List[Tuple[int, ChunkReport]] = []
             for shard_id in sorted(self._progress):
                 ordered.extend(self._progress[shard_id][2])
             ordered.sort(key=lambda pair: pair[0])
@@ -543,7 +614,8 @@ class ShardedIngestPipeline:
 
         Workers seal + publish when their queue goes idle, so once the
         submitter pauses the snapshot converges to the full submitted
-        stream within a few idle polls.  Raises :class:`TimeoutError`
+        stream within a few idle polls; an inline shard converges on the
+        first snapshot.  Raises :class:`TimeoutError`
         after *timeout* seconds — e.g. when a shard died mid-load
         (:meth:`finalize` surfaces the underlying error).
         """
@@ -641,7 +713,10 @@ class ShardedIngestPipeline:
             return self.summary
         self._finalized = True
         finalize_start = time.perf_counter()
-        if self.dispatch == "round-robin":
+        if self._inline is not None:
+            with self._inline_lock:
+                self._inline.finish()
+        elif self.dispatch == "round-robin":
             for in_queue in self._in_queues:
                 in_queue.put(None)
         else:
@@ -696,18 +771,19 @@ class ShardedIngestPipeline:
         for worker in self._workers:
             worker.join(timeout=5.0)
         # Merge: parquet parts in shard order, reports in submission order,
-        # shard sidelines folded into the table's store (then removed).
+        # worker sidelines folded into the table's store (then removed).
         self._parquet_paths = [
             path for paths in self._shard_parquet_paths for path in paths
         ]
-        ordered_reports: List[Tuple[int, LoadReport]] = []
+        ordered_reports: List[Tuple[int, ChunkReport]] = []
         for reports in self._final_reports.values():
             ordered_reports.extend(reports)
         ordered_reports.sort(key=lambda pair: pair[0])
         for _, report in ordered_reports:
             self.summary.add(report)
         for sideline_path in self._sideline_paths:
-            if sideline_path.exists():
+            if sideline_path != self.side_store.path and \
+                    sideline_path.exists():
                 shard_side = JsonSideStore(sideline_path)
                 self.side_store.append_pairs(shard_side.iter_raw())
                 sideline_path.unlink()

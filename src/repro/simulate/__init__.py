@@ -8,8 +8,7 @@ from .hardware import (
     PLATFORMS,
     synthesize_observations,
 )
-# Channel names re-export from the transport package directly (not via
-# the deprecated .network shim, whose import now warns).
+# Channel names re-export from the transport package, their home.
 from ..transport import (
     Channel,
     ChannelDecorator,

@@ -12,7 +12,8 @@ class TestValidation:
         config = DeploymentConfig()
         assert config.mode == "serial"
         assert config.resolved_n_shards == 1
-        assert not config.streaming_queries
+        assert config.streaming_queries  # serial reads mid-load too
+        assert not DeploymentConfig(seal_interval=None).streaming_queries
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -37,6 +38,21 @@ class TestValidation:
     def test_serial_rejects_shards(self):
         with pytest.raises(ValueError, match="serial mode"):
             DeploymentConfig(mode="serial", n_shards=4)
+
+    def test_durable_needs_seal_interval(self, tmp_path):
+        """A mid-load durable cut needs sealed parts: every layer
+        rejects durable=True with seal_interval=None."""
+        from repro.server import CiaoServer
+
+        for mode in ("serial", "sharded"):
+            with pytest.raises(ValueError, match="seal_interval"):
+                DeploymentConfig(mode=mode, durable=True,
+                                 seal_interval=None)
+        with pytest.raises(ValueError, match="seal_interval"):
+            ServerConfig(data_dir=tmp_path, durable=True,
+                         seal_interval=None)
+        with pytest.raises(ValueError, match="seal_interval"):
+            CiaoServer(tmp_path, durable=True, seal_interval=None)
 
     def test_sharded_needs_two_shards(self):
         with pytest.raises(ValueError, match="n_shards >= 2"):

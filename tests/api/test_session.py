@@ -14,6 +14,10 @@ from repro.api import (
     key_value,
     substring,
 )
+from repro.client import encode_chunk
+from repro.data import make_generator
+from repro.rawjson import JsonChunk
+from repro.service.results import canonical_result_bytes
 
 SEED = 1234
 N_RECORDS = 1200
@@ -108,9 +112,40 @@ class TestLoadJob:
             assert progress.state == "done"
             assert progress.records_shipped == N_RECORDS
 
-    def test_snapshot_query_rejected_on_serial(self, yelp_workload):
-        with CiaoSession(yelp_workload, source="yelp",
-                         seed=SEED) as session:
+    def test_snapshot_query_on_serial(self, yelp_workload):
+        """A serial mid-load read equals a serial reference over the
+        covered prefix, and ingest continues afterwards."""
+        lines = list(make_generator("yelp", SEED).raw_lines(600))
+        payloads = [
+            encode_chunk(JsonChunk(i, lines[i * 100:(i + 1) * 100]))
+            for i in range(6)
+        ]
+        sql = "SELECT stars, COUNT(*) FROM t GROUP BY stars"
+
+        def reference(n_lines):
+            with CiaoSession(yelp_workload, source=lines[:n_lines],
+                             config=DeploymentConfig(chunk_size=100)) as ref:
+                ref.load().result()
+                return canonical_result_bytes(ref.query(sql))
+
+        with CiaoSession(yelp_workload, seed=SEED) as session:
+            job = session.external_load()
+            for payload in payloads[:3]:
+                job.server.ingest(payload)
+            mid = job.snapshot_query(sql)
+            assert canonical_result_bytes(mid) == reference(300)
+            assert job.server.state == "loading"
+            for payload in payloads[3:]:
+                job.server.ingest(payload)
+            assert job.finish_external().received == 600
+            assert canonical_result_bytes(session.query(sql)) == \
+                reference(600)
+
+    def test_snapshot_query_rejected_without_seal_interval(
+            self, yelp_workload):
+        config = DeploymentConfig(seal_interval=None)
+        with CiaoSession(yelp_workload, source="yelp", seed=SEED,
+                         config=config) as session:
             job = session.load(n_records=N_RECORDS)
             with pytest.raises(RuntimeError, match="snapshot_query"):
                 job.snapshot_query("SELECT COUNT(*) FROM t")

@@ -28,11 +28,15 @@ def batch(i, rows=4):
     return encode_chunk(JsonChunk(chunk_id=i, records=records))
 
 
-def durable_server(path, **kwargs):
-    kwargs.setdefault("n_shards", 2)
-    kwargs.setdefault("shard_mode", "thread")
+#: Deployment shapes every server-level scenario runs under: two thread
+#: shards, and serial — one shard, run inline on the submitting thread.
+SHARDED = {"n_shards": 2, "shard_mode": "thread"}
+SERIAL = {"n_shards": 1}
+
+
+def durable_server(path, deployment=SHARDED, **kwargs):
     kwargs.setdefault("seal_interval", 2)
-    return CiaoServer(path, durable=True, **kwargs)
+    return CiaoServer(path, durable=True, **deployment, **kwargs)
 
 
 def feed(server, seqs, client_id="c1", source_id="src"):
@@ -43,8 +47,10 @@ def feed(server, seqs, client_id="c1", source_id="src"):
 
 
 class TestDurableManifest:
+    deployment = SHARDED
+
     def test_constructor_writes_loading_manifest(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         path = Manifest.path_for(tmp_path, "t")
         assert path.exists()
         _, doc = Manifest.load(path)
@@ -53,12 +59,12 @@ class TestDurableManifest:
         assert server.manifest_revision == 1
 
     def test_non_durable_server_has_no_manifest(self, tmp_path):
-        server = CiaoServer(tmp_path)
+        server = CiaoServer(tmp_path, **self.deployment)
         assert server.manifest_revision is None
         assert not Manifest.path_for(tmp_path, "t").exists()
 
     def test_checkpoint_advances_revision(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 5))
         assert server.checkpoint() is True
         assert server.manifest_revision == 2
@@ -67,7 +73,7 @@ class TestDurableManifest:
         assert doc["parts"], "checkpoint must record sealed parts"
 
     def test_finalize_writes_finalized_manifest(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 5))
         server.finalize_loading()
         _, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
@@ -75,14 +81,21 @@ class TestDurableManifest:
         assert doc["summary"]["loaded"] == 16
 
     def test_checkpoint_on_non_durable_is_a_noop(self, tmp_path):
-        server = CiaoServer(tmp_path, n_shards=2, shard_mode="thread",
-                            seal_interval=2)
+        server = CiaoServer(tmp_path, seal_interval=2, **self.deployment)
         assert server.checkpoint() is False
 
 
+class TestSerialDurableManifest(TestDurableManifest):
+    """The same manifest scenarios on a serial deployment."""
+
+    deployment = SERIAL
+
+
 class TestRecovery:
+    deployment = SHARDED
+
     def test_midload_recovery_is_byte_identical(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 9))
         assert server.checkpoint() is True
         sql = "SELECT k, COUNT(*) FROM t GROUP BY k"
@@ -95,7 +108,7 @@ class TestRecovery:
         assert before == after
 
     def test_uncheckpointed_tail_is_lost_and_replayable(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         session = feed(server, range(1, 5))
         server.checkpoint()
         # These batches are acked but never checkpointed: the crash
@@ -114,7 +127,7 @@ class TestRecovery:
         assert summary.received == 6 * 4  # every batch exactly once
 
     def test_finalized_recovery_is_byte_identical(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 7))
         server.finalize_loading()
         sql = "SELECT k, COUNT(*) FROM t GROUP BY k"
@@ -125,7 +138,7 @@ class TestRecovery:
 
     def test_torn_part_is_quarantined_not_fatal(self, tmp_path):
         metrics = Metrics()
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 9))
         server.checkpoint()
         _, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
@@ -142,7 +155,7 @@ class TestRecovery:
         assert 0 < rows[0]["count(*)"] < 32
 
     def test_recovered_generation_gets_fresh_part_paths(self, tmp_path):
-        server = durable_server(tmp_path)
+        server = durable_server(tmp_path, self.deployment)
         feed(server, range(1, 5))
         server.checkpoint()
         recovered = CiaoServer.recover(tmp_path)
@@ -155,6 +168,14 @@ class TestRecovery:
     def test_recover_without_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError):
             CiaoServer.recover(tmp_path)
+
+
+class TestSerialRecovery(TestRecovery):
+    """The same crash scenarios on a serial deployment: mid-load
+    checkpoints, recovery, and replay dedupe, losing at most the
+    unsealed tail."""
+
+    deployment = SERIAL
 
 
 class TestSessionRecovery:

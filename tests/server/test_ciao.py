@@ -76,12 +76,16 @@ class TestIngestAndQuery:
 
     def test_ingest_channel_drains(self, tmp_path):
         plan = make_plan([C0, C1])
-        server = CiaoServer(tmp_path, plan=plan, workload=WORKLOAD)
-        client = SimulatedClient("c", plan=plan, chunk_size=10)
-        channel = MemoryChannel()
-        client.ship(LINES, channel)
-        assert server.ingest_channel(channel) == 5
-        assert channel.pending() == 0
+        for n_shards in (1, 2):
+            server = CiaoServer(tmp_path / f"s{n_shards}", plan=plan,
+                                workload=WORKLOAD, n_shards=n_shards,
+                                shard_mode="thread")
+            client = SimulatedClient("c", plan=plan, chunk_size=10)
+            channel = MemoryChannel()
+            client.ship(LINES, channel)
+            assert server.ingest_channel(channel) == 5
+            assert channel.pending() == 0
+            assert server.finalize_loading().chunks == 5
 
     def test_query_answers_and_skipping(self, tmp_path):
         plan = make_plan([C0, C1])

@@ -64,9 +64,10 @@ class TestPartialLoading:
         loader = ClientAssistedLoader(parquet, side, partial_loading=False)
         bits = [0] * 10
         report = loader.ingest(chunk_with_mask(bits))
-        loader.finalize()
+        summary = loader.finalize()
         assert report.loaded == 10
         assert side.record_count == 0
+        assert summary.loading_ratio == 1.0
         # Bit-vectors are still retained for skipping.
         with ParquetLiteReader(loader.parquet_paths[0]) as reader:
             assert reader.bitvector(0, 0).count() == 0

@@ -17,7 +17,6 @@ from repro.server import (
     IngestPipelineError,
     ShardedIngestPipeline,
 )
-from repro.simulate.network import MemoryChannel
 from repro.storage import JsonSideStore
 from repro.workload import estimate_selectivities, table3_workload
 
@@ -179,14 +178,6 @@ class TestPipelineBehavior:
                                   partial_loading=True, mode="thread",
                                   seal_interval=0)
 
-    def test_drain_channel(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
-        channel = MemoryChannel()
-        for chunk in self.simple_chunks(n_chunks=3):
-            channel.send(encode_chunk(chunk))
-        assert pipeline.drain_channel(channel) == 3
-        assert pipeline.finalize().chunks == 3
-
     def test_submit_after_finalize_rejected(self, tmp_path):
         pipeline, _ = self.make_pipeline(tmp_path)
         pipeline.submit(self.simple_chunks(n_chunks=1)[0])
@@ -246,7 +237,8 @@ class TestPipelineBehavior:
     def test_shard_init_failure_does_not_deadlock(self, tmp_path,
                                                   monkeypatch):
         # If a shard loader fails to construct, the worker must still
-        # drain its (bounded) queue or submit() blocks forever.
+        # drain its (bounded) queue or submit() blocks forever.  Two
+        # shards: a single shard runs inline, with no worker or queue.
         from repro.server import pipeline as pipeline_module
 
         class ExplodingLoader:
@@ -258,7 +250,7 @@ class TestPipelineBehavior:
         )
         side = JsonSideStore(tmp_path / "t.sideline.jsonl")
         pipeline = ShardedIngestPipeline(
-            tmp_path / "t.pql", side, n_shards=1, partial_loading=True,
+            tmp_path / "t.pql", side, n_shards=2, partial_loading=True,
             mode="thread", queue_depth=2,
         )
         # Far more submissions than the queue depth: only passes if the

@@ -73,7 +73,7 @@ def answers(server):
 
 
 class TestStreamingQueryEquivalence:
-    @pytest.mark.parametrize("n_shards", [2, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_mid_load_equals_serial_prefix(self, tmp_path, n_shards):
         chunks = make_chunks()
         prefix = len(chunks) // 2
@@ -283,27 +283,121 @@ class TestLifecycle:
         server.finalize_loading()
         assert server.state == "finalized"
 
-    def test_streaming_disabled_falls_back_to_auto_finalize(self, tmp_path):
-        # seal_interval=None opts out of streaming; a mid-load query then
-        # behaves like the legacy sharded server (finalize on first
-        # query) instead of crashing on an impossible snapshot.
-        server = CiaoServer(tmp_path, n_shards=2, shard_mode="thread",
-                            seal_interval=None)
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_streaming_disabled_midload_query_raises(self, tmp_path,
+                                                     n_shards):
+        # seal_interval=None opts out of streaming: there is no mid-load
+        # view, so a mid-load read fails loudly and finalizes nothing.
+        server = CiaoServer(tmp_path, n_shards=n_shards,
+                            shard_mode="thread", seal_interval=None)
         server.ingest(make_chunks(1)[0])
+        with pytest.raises(RuntimeError, match="seal_interval=None"):
+            server.query("SELECT COUNT(*) FROM t")
+        with pytest.raises(RuntimeError, match="seal_interval=None"):
+            server.quiesce(timeout=1)
+        assert server.state == "loading"
+        server.ingest(make_chunks(2)[1])
+        server.finalize_loading()
+        assert server.query("SELECT COUNT(*) FROM t").scalar() \
+            == 2 * CHUNK_RECORDS
+
+    def test_serial_query_reads_snapshot_and_keeps_loading(self, tmp_path):
+        # A mid-load query on a serial server scans the loaded-so-far
+        # snapshot (the inline shard seals what it holds) and does not
+        # finalize: later ingest still lands.
+        chunks = make_chunks(4)
+        server = CiaoServer(tmp_path)
+        server.ingest(chunks[0])
         assert server.query("SELECT COUNT(*) FROM t").scalar() \
             == CHUNK_RECORDS
-        assert server.state == "finalized"
-        with pytest.raises(RuntimeError):
-            CiaoServer(tmp_path / "q", n_shards=2, shard_mode="thread",
-                       seal_interval=None).quiesce(timeout=1)
+        assert server.state == "loading"
+        for chunk in chunks[1:]:
+            server.ingest(chunk)
+        assert server.load_summary.chunks == 4
+        server.finalize_loading()
+        assert server.query("SELECT COUNT(*) FROM t").scalar() \
+            == 4 * CHUNK_RECORDS
 
-    def test_serial_query_still_auto_finalizes(self, tmp_path):
-        # Documented serial-mode behavior: a half-written Parquet part has
-        # no footer, so the first query seals loading.
-        server = CiaoServer(tmp_path)
-        server.ingest(make_chunks(1)[0])
-        server.query("SELECT COUNT(*) FROM t")
-        assert server.state == "finalized"
+    def test_serial_concurrent_readers_see_whole_chunks(self, tmp_path):
+        # Stress the inline shard's shared state: one submitter and more
+        # readers than cores, with a tiny switch interval.  A lost
+        # publication or a torn seal would show as a count that is not
+        # whole chunks, goes backwards, or misses the final total.
+        import sys
+        import threading
+
+        chunks = make_chunks(40)
+        server = CiaoServer(tmp_path, seal_interval=3)
+        done = threading.Event()
+        seen = [[] for _ in range(4)]
+        errors = []
+
+        def read(out):
+            try:
+                while not done.is_set():
+                    out.append(server.query(
+                        "SELECT COUNT(*) FROM t").scalar())
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(out,))
+                   for out in seen]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for chunk in chunks:
+                server.ingest(encode_chunk(chunk))
+            server.quiesce()
+            final_mid_load = server.query("SELECT COUNT(*) FROM t").scalar()
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(old_interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        total = len(chunks) * CHUNK_RECORDS
+        for counts in seen:
+            assert all(c % CHUNK_RECORDS == 0 for c in counts), counts
+            assert counts == sorted(counts), counts
+            assert all(c <= total for c in counts), counts
+        assert final_mid_load == total
+        server.finalize_loading()
+        assert server.load_summary.received == total
+
+    def test_serial_layout_unchanged_without_midload_reads(self, tmp_path):
+        # With nobody reading mid-load, a serial server writes exactly
+        # the files a bare loader does: one seal interval of chunks is
+        # one part plus the sideline, byte for byte.
+        from repro.server import ClientAssistedLoader
+        from repro.server.pipeline import DEFAULT_SEAL_INTERVAL
+
+        chunks = make_chunks(DEFAULT_SEAL_INTERVAL)
+        for chunk in chunks:
+            chunk.attach(0, BitVector.from_bits(
+                [k % 2 for k in range(CHUNK_RECORDS)]
+            ))
+        server = CiaoServer(tmp_path / "server", partial_loading="on")
+        for chunk in chunks:
+            server.ingest(encode_chunk(chunk))
+        server.finalize_loading()
+        bare = ClientAssistedLoader(
+            tmp_path / "bare" / "t.pql",
+            JsonSideStore(tmp_path / "bare" / "t.sideline.jsonl"),
+            partial_loading=True,
+        )
+        for chunk in chunks:
+            bare.ingest(chunk)
+        bare.finalize()
+
+        def files(root):
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        written = files(tmp_path / "server")
+        assert sorted(written) == ["t.part0.pql", "t.sideline.jsonl"]
+        assert written == files(tmp_path / "bare")
 
     def test_finalize_idempotent_and_summary_stable(self, tmp_path):
         server = CiaoServer(tmp_path, n_shards=2, shard_mode="thread")
@@ -332,7 +426,8 @@ class TestServerConfig:
 
     def test_from_config_serial(self, tmp_path):
         server = CiaoServer.from_config(ServerConfig(data_dir=tmp_path))
-        assert server._pipeline is None
+        assert server._pipeline.n_shards == 1  # one shard, run inline
+        assert server._pipeline._workers == []
         assert server.state == "loading"
 
     def test_invalid_shard_mode_rejected(self, tmp_path):

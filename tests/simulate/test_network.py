@@ -194,7 +194,7 @@ from repro.simulate import (
     LossyChannel,
     make_channel,
 )
-from repro.simulate.network import per_client_channels
+from repro.transport import per_client_channels
 
 
 class TestLossyChannel:
@@ -338,46 +338,3 @@ class TestPerClientChannels:
     def test_file_string_needs_directory(self):
         with pytest.raises(ValueError, match="spool directory"):
             per_client_channels("file")
-
-
-class TestDeprecatedShim:
-    def test_import_warns_once_and_reexports(self):
-        import importlib
-        import sys
-        import warnings
-
-        import repro.transport as transport
-
-        sys.modules.pop("repro.simulate.network", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.simulate.network as shim
-        fired = [w for w in caught
-                 if issubclass(w.category, DeprecationWarning)
-                 and "repro.simulate.network is deprecated" in str(w.message)]
-        assert len(fired) == 1
-        # A cached re-import must not warn again.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.simulate.network")
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "repro.simulate.network" in str(w.message)]
-        # Every advertised name resolves to the transport object itself.
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(transport, name)
-
-    def test_simulate_package_import_does_not_warn(self):
-        import subprocess
-        import sys
-
-        code = (
-            "import warnings; warnings.simplefilter('error');"
-            "import repro.simulate"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
-        )
-        assert proc.returncode == 0, proc.stderr
